@@ -81,6 +81,9 @@ ${CAP} cargo run -q --release --offline --example serve_bench
 echo "==> overload bench: goodput, shed rate, degraded fraction, p50/p99 at 1x/2x/4x offered load (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example overload_bench
 
+echo "==> perfbench smoke test: every workload runs briefly with its checks on (capped at ${TEST_CAP}s)"
+${CAP} cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> full workspace tests (offline, capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --workspace --offline
 

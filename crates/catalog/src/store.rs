@@ -19,6 +19,15 @@
 //! authoritative; partially-written `g+1` files are invisible garbage that
 //! `repair` sweeps into quarantine.
 //!
+//! ## Retention
+//!
+//! After the swap, `save` deletes every committed generation older than
+//! `g`, synopsis files first and the manifest last. Generation `g+1` and its
+//! predecessor `g` stay on disk, so a store holds at most two committed
+//! generations however often it is saved. Only generations whose manifest
+//! validates are deleted; corrupt files are left for `repair`. A failed
+//! deletion never fails the already-committed save: the next save retries.
+//!
 //! ## Degraded-mode answering
 //!
 //! Every read validates the frame checksum *and* the synopsis semantics
@@ -27,7 +36,7 @@
 //! via [`AnswerSource`]:
 //!
 //! 1. the column's synopsis in the current generation (`Primary`);
-//! 2. the newest older generation whose copy validates
+//! 2. the previous generation, which retention keeps
 //!    (`FallbackGeneration`);
 //! 3. a NAIVE estimator rebuilt from manifest metadata alone
 //!    (`FallbackNaive`, answering `len(q) · total_rows / n`).
@@ -335,17 +344,16 @@ impl<S: Storage> DurableCatalog<S> {
     ///
     /// Ordering is the crash-safety argument: synopsis files first, then the
     /// manifest, then the atomic `CURRENT` swap. An error (or crash) at any
-    /// step leaves the previously committed generation untouched.
+    /// step leaves the previously committed generation untouched. After the
+    /// swap, committed generations older than the previous one are retired
+    /// (module docs, "Retention").
     pub fn save(&self, catalog: &Catalog) -> Result<u64> {
         // The next generation must exceed both the committed pointer and any
         // uncommitted manifest a crashed save left behind, so no file is
         // ever silently overwritten.
-        let on_disk = self
-            .manifest_generations_on_disk()
-            .unwrap_or_default()
-            .last()
-            .copied();
-        let prev = self.current_pointer().into_iter().chain(on_disk).max();
+        let committed = self.current_pointer();
+        let on_disk = self.manifest_generations_on_disk().unwrap_or_default();
+        let prev = committed.into_iter().chain(on_disk.last().copied()).max();
         let generation = prev.map_or(1, |g| g + 1);
 
         let mut columns = Vec::with_capacity(catalog.len());
@@ -387,7 +395,54 @@ impl<S: Storage> DurableCatalog<S> {
         // The commit point.
         self.storage
             .write_atomic(&self.path(CURRENT_FILE), &current_to_bytes(generation))?;
+        if let Some(predecessor) = committed {
+            self.retire_older_than(predecessor, &on_disk);
+        }
         Ok(generation)
+    }
+
+    /// Retention: deletes every committed generation older than
+    /// `predecessor`, the generation `CURRENT` named before this save. The
+    /// new generation and its predecessor — the `FallbackGeneration` rung —
+    /// stay. Only generations whose manifest validates are deleted; corrupt
+    /// files stay for [`Self::repair`] to quarantine. The save has already
+    /// committed, so a failure here is not an error: it stops the sweep,
+    /// and the next save retires what this one left.
+    fn retire_older_than(&self, predecessor: u64, on_disk: &[u64]) {
+        for &g in on_disk.iter().filter(|&&g| g < predecessor) {
+            let Ok(m) = self.read_manifest(g) else {
+                continue;
+            };
+            if self.remove_generation(&m, false, &mut Vec::new()).is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Deletes (or, with `dry_run`, only lists into `files`) one
+    /// generation: the synopsis files its manifest references first and the
+    /// manifest last, so an interrupted removal resumes cleanly on the next
+    /// call.
+    fn remove_generation(
+        &self,
+        m: &Manifest,
+        dry_run: bool,
+        files: &mut Vec<String>,
+    ) -> Result<()> {
+        for c in &m.columns {
+            if self.storage.exists(&self.path(&c.file)) {
+                if !dry_run {
+                    self.storage.remove(&self.path(&c.file))?;
+                }
+                files.push(c.file.clone());
+            }
+        }
+        let mf = manifest_file(m.generation);
+        if !dry_run {
+            self.storage.remove(&self.path(&mf))?;
+        }
+        files.push(mf);
+        Ok(())
     }
 
     /// Re-reads and validates generation `generation` from storage: the
@@ -770,19 +825,7 @@ impl<S: Storage> DurableCatalog<S> {
         gens.sort_unstable();
         for &g in &gens {
             let m = self.read_manifest(g)?;
-            for c in &m.columns {
-                if self.storage.exists(&self.path(&c.file)) {
-                    if !dry_run {
-                        self.storage.remove(&self.path(&c.file))?;
-                    }
-                    report.files.push(c.file.clone());
-                }
-            }
-            let mf = manifest_file(g);
-            if !dry_run {
-                self.storage.remove(&self.path(&mf))?;
-            }
-            report.files.push(mf);
+            self.remove_generation(&m, dry_run, &mut report.files)?;
         }
         report.abandoned_generations = gens;
         Ok(report)
@@ -1118,6 +1161,146 @@ mod tests {
         assert!(p.abandoned_generations.is_empty());
         assert!(p.files.is_empty());
         assert!(root.join("MANIFEST-1").exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Manifest generations and synopsis files on disk, both sorted.
+    fn files_on_disk(root: &Path) -> (Vec<u64>, Vec<String>) {
+        let mut gens = Vec::new();
+        let mut syns = Vec::new();
+        for e in std::fs::read_dir(root).unwrap() {
+            let name = e.unwrap().file_name().to_string_lossy().into_owned();
+            if let Some(g) = parse_manifest_generation(&name) {
+                gens.push(g);
+            } else if name.ends_with(".syn") {
+                syns.push(name);
+            }
+        }
+        gens.sort_unstable();
+        syns.sort();
+        (gens, syns)
+    }
+
+    #[test]
+    fn retention_keeps_the_current_generation_and_its_predecessor() {
+        let root = tmp_root("retain");
+        let store = DurableCatalog::open(&root, FsStorage::new()).unwrap();
+        let cat = sample_catalog();
+        for n in 1..=7u64 {
+            assert_eq!(store.save(&cat).unwrap(), n);
+            let (gens, syns) = files_on_disk(&root);
+            let want: Vec<u64> = (n.saturating_sub(1).max(1)..=n).collect();
+            assert_eq!(gens, want, "after save {n}");
+            let want_syns: Vec<String> = want.iter().map(|g| format!("price-{g}.syn")).collect();
+            assert_eq!(syns, want_syns, "after save {n}");
+        }
+        assert!(store.fsck().unwrap().healthy());
+
+        // The fallback chain is one generation deep: a corrupt current
+        // synopsis answers from the predecessor.
+        let victim = root.join("price-7.syn");
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x40;
+        std::fs::write(&victim, bytes).unwrap();
+        let q = RangeQuery { lo: 0, hi: 11 };
+        let e = store.estimate("price", q).unwrap();
+        assert_eq!(e.source, AnswerSource::FallbackGeneration { generation: 6 });
+        let expect = cat.estimate("price", q).unwrap();
+        assert!((e.value - expect).abs() < 1e-9);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn retention_leaves_corrupt_manifests_for_repair() {
+        let root = tmp_root("retaincorrupt");
+        let store = DurableCatalog::open(&root, FsStorage::new()).unwrap();
+        store.save(&sample_catalog()).unwrap();
+        store.save(&sample_catalog()).unwrap();
+        let man = root.join(manifest_file(1));
+        let mut mb = std::fs::read(&man).unwrap();
+        mb[30] ^= 0x08;
+        std::fs::write(&man, mb).unwrap();
+        store.save(&sample_catalog()).unwrap();
+        // Generation 1's manifest is corrupt, so retention cannot tell which
+        // files it owns: both stay, and repair quarantines the manifest.
+        assert!(man.exists());
+        assert!(root.join("price-1.syn").exists());
+        let r = store.repair().unwrap();
+        assert!(r.quarantined.contains(&"MANIFEST-1".to_string()), "{r:?}");
+        assert!(root.join(QUARANTINE_DIR).join("MANIFEST-1").exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_failed_retirement_keeps_the_save_and_the_next_save_finishes_it() {
+        // Saves 1 and 2 leave nothing to retire; save 3 writes synopsis,
+        // manifest and CURRENT (write ops 1-3), then removes price-1.syn (4)
+        // and MANIFEST-1 (5). Fail each removal in turn.
+        for failing_op in [4usize, 5] {
+            let root = tmp_root(&format!("retainfault{failing_op}"));
+            {
+                let store = DurableCatalog::open(&root, FsStorage::new()).unwrap();
+                store.save(&sample_catalog()).unwrap();
+                store.save(&sample_catalog()).unwrap();
+            }
+            let mut schedule = vec![Fault::CleanWrite; failing_op - 1];
+            schedule.push(Fault::Enospc);
+            let store = DurableCatalog::open(&root, FaultyStorage::new(FsStorage::new(), schedule))
+                .unwrap();
+            assert_eq!(store.save(&sample_catalog()).unwrap(), 3);
+            assert_eq!(store.storage().faults_fired(), 1);
+            // Committed and loadable; generation 1 is only partly retired.
+            assert_eq!(store.effective_manifest().unwrap().generation, 3);
+            assert!(store.load().is_ok());
+            assert!(store.fsck().unwrap().healthy());
+            let (gens, _) = files_on_disk(&root);
+            assert_eq!(gens, vec![1, 2, 3], "failing op {failing_op}");
+            assert_eq!(root.join("price-1.syn").exists(), failing_op == 4);
+
+            // The next save retires the leftovers along with generation 2.
+            assert_eq!(store.save(&sample_catalog()).unwrap(), 4);
+            let (gens, syns) = files_on_disk(&root);
+            assert_eq!(gens, vec![3, 4], "failing op {failing_op}");
+            assert_eq!(syns, vec!["price-3.syn", "price-4.syn"]);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
+    fn retention_leaves_abandoned_generations_to_prune() {
+        let root = tmp_root("retainprune");
+        {
+            let store = DurableCatalog::open(&root, FsStorage::new()).unwrap();
+            for _ in 0..3 {
+                store.save(&sample_catalog()).unwrap();
+            }
+        }
+        // Generation 4 crashes at the CURRENT swap: abandoned above the
+        // pointer, which retention never touches.
+        let faulty = FaultyStorage::new(
+            FsStorage::new(),
+            vec![
+                Fault::CleanWrite,
+                Fault::CleanWrite,
+                Fault::CrashBeforeRename,
+            ],
+        );
+        let store = DurableCatalog::open(&root, faulty).unwrap();
+        assert!(store.save(&sample_catalog()).is_err());
+        let store = DurableCatalog::open(&root, FsStorage::new()).unwrap();
+        store.repair().unwrap();
+        assert_eq!(files_on_disk(&root).0, vec![2, 3, 4]);
+        let p = store.prune_abandoned(false).unwrap();
+        assert_eq!(p.abandoned_generations, vec![4]);
+        assert_eq!(files_on_disk(&root).0, vec![2, 3]);
+        assert_eq!(
+            store
+                .estimate("price", RangeQuery { lo: 0, hi: 11 })
+                .unwrap()
+                .source,
+            AnswerSource::Primary
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

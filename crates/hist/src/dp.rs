@@ -14,6 +14,11 @@
 //! where `E(i, k)` is the best cost of covering the prefix `[0, i)` with
 //! exactly `k` buckets and `cost(l, r)` is the (O(1)-oracle) cost of a bucket
 //! over the inclusive index window `[l, r]`.
+//!
+//! `cost(j, i−1)` does not depend on `k`, so the DP runs `i` in the outer
+//! loop and evaluates each of the `n(n+1)/2` windows exactly once (only the
+//! `n` prefix windows when `B = 1`) into a cost row that every bucket count
+//! then scans: `O(n²)` cost evaluations plus `O(n²B)` min-scan steps.
 
 use synoptic_core::{Bucketing, Budget, Result, SynopticError};
 
@@ -35,8 +40,9 @@ pub struct DpSolution {
 /// buckets (fewer if that is cheaper, which can happen for costs that are not
 /// monotone in the partition refinement).
 ///
-/// Complexity: `O(n² · max_buckets)` cost evaluations, `O(n · max_buckets)`
-/// memory.
+/// Complexity: `n(n+1)/2` cost evaluations (each window once; `n` when
+/// `max_buckets == 1`), `O(n² · max_buckets)` min-scan steps,
+/// `O(n · max_buckets)` memory.
 pub fn optimal_bucketing<C>(n: usize, max_buckets: usize, cost: C) -> Result<DpSolution>
 where
     C: Fn(usize, usize) -> f64,
@@ -73,9 +79,18 @@ where
     let mut e = vec![vec![f64::INFINITY; n + 1]; b + 1];
     let mut parent = vec![vec![usize::MAX; n + 1]; b + 1];
     e[0][0] = 0.0;
-    for k in 1..=b {
-        // With k buckets we can cover at least k and at most n positions.
-        for i in k..=n {
+    // `i` outside `k`: the window cost(j, i−1) does not depend on k, so one
+    // row per i serves every bucket count. Every e[k−1][j] with j < i is
+    // final by the time row i is scanned. The only finite k = 0 state is
+    // e[0][0], so one bucket reads cost(0, i−1) alone: with b = 1 the row
+    // stops there (the scan skips every other j before reading the row).
+    let mut row = Vec::with_capacity(n);
+    for i in 1..=n {
+        row.clear();
+        let width = if b == 1 { 1 } else { i };
+        row.extend((0..width).map(|j| cost(j, i - 1)));
+        // With k buckets we can cover at least k positions.
+        for k in 1..=b.min(i) {
             budget.charge((i - (k - 1)) as u64)?;
             let mut best = f64::INFINITY;
             let mut best_j = usize::MAX;
@@ -85,7 +100,7 @@ where
                 if !prev.is_finite() {
                     continue;
                 }
-                let c = prev + cost(j, i - 1);
+                let c = prev + row[j];
                 if c < best {
                     best = c;
                     best_j = j;
@@ -148,6 +163,110 @@ mod tests {
             best
         }
         rec(0, n, b, cost)
+    }
+
+    /// The DP as it ran before the loop swap: `k` outside `i`, one cost
+    /// evaluation per `(k, i, j)`. Kept as the bit-identity reference.
+    fn reference_k_outer<C: Fn(usize, usize) -> f64>(
+        n: usize,
+        b: usize,
+        cost: C,
+    ) -> (Vec<usize>, f64) {
+        let mut e = vec![vec![f64::INFINITY; n + 1]; b + 1];
+        let mut parent = vec![vec![usize::MAX; n + 1]; b + 1];
+        e[0][0] = 0.0;
+        for k in 1..=b {
+            for i in k..=n {
+                let (mut best, mut best_j) = (f64::INFINITY, usize::MAX);
+                #[allow(clippy::needless_range_loop)] // j is an index *and* a boundary value
+                for j in (k - 1)..i {
+                    let prev = e[k - 1][j];
+                    if !prev.is_finite() {
+                        continue;
+                    }
+                    let c = prev + cost(j, i - 1);
+                    if c < best {
+                        best = c;
+                        best_j = j;
+                    }
+                }
+                e[k][i] = best;
+                parent[k][i] = best_j;
+            }
+        }
+        let (mut best_k, mut best) = (1, e[1][n]);
+        for (k, ek) in e.iter().enumerate().skip(2) {
+            if ek[n] < best {
+                best = ek[n];
+                best_k = k;
+            }
+        }
+        let mut starts = Vec::new();
+        let (mut i, mut k) = (n, best_k);
+        while k > 0 {
+            starts.push(parent[k][i]);
+            i = parent[k][i];
+            k -= 1;
+        }
+        starts.reverse();
+        (starts, best)
+    }
+
+    #[test]
+    fn loop_swap_is_bit_identical_to_the_k_outer_reference() {
+        let mut rng = synoptic_core::rng::Rng::new(20011);
+        for case in 0..240 {
+            let n = rng.usize_in(1, 25);
+            // Draw from a few coarse levels so many candidate splits tie,
+            // and make some windows infinitely expensive; the whole-domain
+            // window stays finite so a one-bucket answer always exists.
+            let levels = rng.usize_in(1, 5) as u64;
+            let p_inf = rng.usize_in(0, 4);
+            let mut table = vec![0.0f64; n * n];
+            for l in 0..n {
+                for r in l..n {
+                    table[l * n + r] = if (l, r) != (0, n - 1) && rng.usize_in(0, 10) < p_inf {
+                        f64::INFINITY
+                    } else {
+                        rng.bounded_u64(levels) as f64 * 0.375 + (r - l) as f64 * 0.125
+                    };
+                }
+            }
+            let cost = |l: usize, r: usize| table[l * n + r];
+            let mut bs = vec![1, n, rng.usize_in(1, n + 1)];
+            bs.dedup();
+            for b in bs {
+                let sol = optimal_bucketing(n, b, cost).unwrap();
+                let (starts, objective) = reference_k_outer(n, b, cost);
+                assert_eq!(sol.bucketing.starts(), starts, "case {case}: n={n} b={b}");
+                assert_eq!(
+                    sol.objective.to_bits(),
+                    objective.to_bits(),
+                    "case {case}: n={n} b={b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_window_is_evaluated_exactly_once() {
+        use std::cell::Cell;
+        for n in 1..=20usize {
+            for b in [1, 2, n.div_ceil(2), n] {
+                if b > n {
+                    continue;
+                }
+                let calls = Cell::new(0usize);
+                let cost = |l: usize, r: usize| {
+                    calls.set(calls.get() + 1);
+                    ((l * 13 + r * 7) % 5) as f64
+                };
+                optimal_bucketing(n, b, cost).unwrap();
+                // One bucket only ever covers a prefix [0, i).
+                let want = if b == 1 { n } else { n * (n + 1) / 2 };
+                assert_eq!(calls.get(), want, "n={n} b={b}");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //!                          + U₂(j,i−1)·(n−i) + V₂(j,i−1)·j + 2·λ·V₁(j,i−1)
 //! ```
 //!
+//! The window ingredients of `(j, i−1)` do not depend on `k`, so the DP runs
+//! `i` in the outer loop and fetches each window once into a row that every
+//! bucket count scans: `O(n²)` window-cost evaluations plus `O(n²B)`
+//! min-scan steps, each over the predecessor hull's states.
+//!
 //! ## Convex-hull pruning (exact)
 //!
 //! For any fixed completion `S` of the histogram to the right of `i`, the
@@ -201,9 +206,9 @@ struct State {
 
 /// Lower convex hull of candidate states (sorted by Λ, min cost per Λ,
 /// convex minorant vertices only). Exactness argument in the module docs.
-fn lower_hull(mut cands: Vec<State>) -> Vec<State> {
+fn lower_hull(cands: &mut [State]) -> Vec<State> {
     if cands.len() <= 1 {
-        return cands;
+        return cands.to_vec();
     }
     cands.sort_by(|a, b| {
         a.lambda
@@ -211,7 +216,7 @@ fn lower_hull(mut cands: Vec<State>) -> Vec<State> {
             .then(a.cost.total_cmp(&b.cost))
     });
     let mut hull: Vec<State> = Vec::with_capacity(cands.len().min(64));
-    for c in cands {
+    for &c in cands.iter() {
         if let Some(last) = hull.last() {
             if last.lambda == c.lambda {
                 // Same Λ: sorted order guarantees `last` is the cheaper one.
@@ -332,16 +337,28 @@ pub fn build_opt_a_with_budget(
         }
     };
 
-    for k in 1..=b {
-        for i in k..=n {
+    // `i` outside `k`, as in `dp::optimal_bucketing`: the window costs
+    // (j, i−1) do not depend on k, so one row per i serves every bucket
+    // count, and every hull at j < i is final before row i is scanned.
+    // With b = 1 only the hull at j = 0 is non-empty, so the row stops
+    // there. One candidate buffer serves every cell: with i outside k,
+    // fresh per-cell buffers interleave with the long-lived hulls and
+    // fragment the heap.
+    let mut row: Vec<WindowCost> = Vec::with_capacity(n);
+    let mut cands: Vec<State> = Vec::new();
+    for i in 1..=n {
+        row.clear();
+        let width = if b == 1 { 1 } else { i };
+        row.extend((0..width).map(|j| costs.get(j, i - 1)));
+        for k in 1..=b.min(i) {
             budget.charge((i - (k - 1)) as u64)?;
-            let mut cands: Vec<State> = Vec::new();
+            cands.clear();
             #[allow(clippy::needless_range_loop)] // j is an index *and* a boundary value
             for j in (k - 1)..i {
                 if hulls[k - 1][j].is_empty() {
                     continue;
                 }
-                let wc = costs.get(j, i - 1);
+                let wc = row[j];
                 let base = wc.intra + wc.u2 * (n - i) as f64 + wc.v2 * j as f64;
                 for (idx, st) in hulls[k - 1][j].iter().enumerate() {
                     cands.push(State {
@@ -353,7 +370,7 @@ pub fn build_opt_a_with_budget(
                 }
             }
             stats.states_generated += cands.len() as u64;
-            let hull = cap_hull(lower_hull(cands), cfg.max_hull_states);
+            let hull = cap_hull(lower_hull(&mut cands), cfg.max_hull_states);
             stats.states_kept += hull.len() as u64;
             stats.max_hull_size = stats.max_hull_size.max(hull.len());
             for st in &hull {
@@ -432,6 +449,77 @@ mod tests {
             vec![100, 1, 1, 1, 1, 1, 1, 90],
             vec![0, 7, 0, 7, 0, 7, 0, 7, 0],
         ]
+    }
+
+    /// Seeded data: odd seeds draw from {0..4} (many ties), even seeds from
+    /// a wide signed range.
+    fn seeded_values(seed: u64, n: usize) -> Vec<i64> {
+        let mut rng = synoptic_core::rng::Rng::new(seed);
+        (0..n)
+            .map(|_| {
+                if seed % 2 == 1 {
+                    rng.i64_in(0, 4)
+                } else {
+                    rng.i64_in(-20, 200)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seeded_runs_are_bit_identical_to_the_k_outer_loop() {
+        // Recorded from the DP that fetched window costs inside the k loop
+        // (k outside i): (seed, rounded, n, b, starts, dp_objective bits,
+        // sse bits, states generated). Hoisting the fetch out of the k loop
+        // must not move a single bit.
+        #[allow(clippy::type_complexity)]
+        #[rustfmt::skip]
+        const GOLDEN: &[(u64, bool, usize, usize, &[usize], u64, u64, u64)] = &[
+            (1, false, 9, 1, &[0], 0x40495097b425ed09, 0x40495097b425ed06, 9),
+            (1, false, 9, 3, &[0, 7, 8], 0x4032db6db6db6db7, 0x4032db6db6db6db8, 115),
+            (1, false, 9, 9, &[0, 2, 3, 4, 5, 6, 7, 8], 0x0000000000000000, 0x0000000000000000, 289),
+            (2, false, 12, 1, &[0], 0x412192fbdc71c71c, 0x412192fbdc71c720, 12),
+            (2, false, 12, 4, &[0, 3, 5, 10], 0x410406393e93e93f, 0x410406393e93e941, 406),
+            (2, false, 12, 12, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 0x0000000000000000, 0x0000000000000000, 1125),
+            (3, false, 15, 1, &[0], 0x4077a60b60b60b61, 0x4077a60b60b60b58, 15),
+            (3, false, 15, 5, &[0, 6, 8, 10, 14], 0x4058b71c71c71c72, 0x4058b71c71c71c71, 1091),
+            (3, false, 15, 15, &[0, 1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14], 0x0000000000000000, 0x0000000000000000, 2500),
+            (4, false, 18, 1, &[0], 0x412791c2684bda13, 0x412791c2684bda0a, 18),
+            (4, false, 18, 6, &[0, 1, 3, 4, 8, 9], 0x410a619097b425ed, 0x410a619097b425ea, 2362),
+            (4, false, 18, 18, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17], 0x0000000000000000, 0x0000000000000000, 5646),
+            (5, false, 21, 1, &[0], 0x409f575d75d75d76, 0x409f575d75d75d80, 21),
+            (5, false, 21, 7, &[0, 2, 5, 8, 10, 13, 19], 0x405bf38e38e38e38, 0x405bf38e38e38e38, 4568),
+            (5, false, 21, 21, &[0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20], 0x0000000000000000, 0x0000000000000000, 9757),
+            (6, false, 24, 1, &[0], 0x4132f0dbd0000000, 0x4132f0dbd0000000, 24),
+            (6, false, 24, 8, &[0, 1, 3, 4, 9, 10, 13, 14], 0x411c8b4000000000, 0x411c8b4000000015, 9462),
+            (6, false, 24, 24, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23], 0x0000000000000000, 0x0000000000000000, 20374),
+            (1, true, 6, 1, &[0], 0x402c000000000000, 0x402c000000000000, 6),
+            (1, true, 6, 3, &[0, 2, 3], 0x4018000000000000, 0x4018000000000000, 37),
+            (1, true, 6, 6, &[0, 2, 3, 4, 5], 0x0000000000000000, 0x0000000000000000, 55),
+            (2, true, 7, 1, &[0], 0x410104a800000000, 0x410104a800000000, 7),
+            (2, true, 7, 3, &[0, 3, 5], 0x40e78d0000000000, 0x40e78d0000000000, 56),
+            (2, true, 7, 7, &[0, 1, 2, 3, 4, 5, 6], 0x0000000000000000, 0x0000000000000000, 109),
+            (3, true, 8, 1, &[0], 0x4062400000000000, 0x4062400000000000, 8),
+            (3, true, 8, 3, &[0, 1, 5], 0x4037000000000000, 0x4037000000000000, 73),
+            (3, true, 8, 8, &[0, 1, 3, 4, 5, 6], 0x0000000000000000, 0x0000000000000000, 162),
+            (4, true, 9, 1, &[0], 0x410ac31000000000, 0x410ac31000000000, 9),
+            (4, true, 9, 3, &[0, 1, 8], 0x40f8437000000000, 0x40f8437000000000, 107),
+            (4, true, 9, 9, &[0, 1, 2, 3, 4, 5, 6, 7, 8], 0x0000000000000000, 0x0000000000000000, 289),
+        ];
+        for &(seed, rounded, n, b, starts, obj, sse, states) in GOLDEN {
+            let ps = ps(&seeded_values(seed, n));
+            let mode = if rounded {
+                RoundingMode::NearestInt
+            } else {
+                RoundingMode::None
+            };
+            let r = build_opt_a(&ps, &OptAConfig::exact(b, mode)).unwrap();
+            let case = format!("seed={seed} rounded={rounded} n={n} b={b}");
+            assert_eq!(r.histogram.bucketing().starts(), starts, "{case}");
+            assert_eq!(r.dp_objective.to_bits(), obj, "{case}");
+            assert_eq!(r.sse.to_bits(), sse, "{case}");
+            assert_eq!(r.stats.states_generated, states, "{case}");
+        }
     }
 
     #[test]
@@ -651,7 +739,7 @@ mod tests {
             parent_j: 0,
             parent_idx: 0,
         };
-        let hull = lower_hull(vec![
+        let hull = lower_hull(&mut [
             mk(0.0, 0.0),
             mk(1.0, 5.0), // above segment (0,0)–(2,0): pruned
             mk(2.0, 0.0),

@@ -156,9 +156,18 @@ impl Frame {
     }
 }
 
+/// Encodes a length-prefixed string. The prefix is a `u16`, so strings of
+/// 64 KiB or more (a long `Refuse` reason or column name) are truncated at
+/// a char boundary rather than wrapping the length: a wrapped prefix would
+/// desynchronise every later field, and the peer would read the whole
+/// frame as divergence instead of the (merely shortened) text.
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+    let mut end = s.len().min(usize::from(u16::MAX));
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    out.extend_from_slice(&(end as u16).to_le_bytes());
+    out.extend_from_slice(&s.as_bytes()[..end]);
 }
 
 fn diverged(detail: impl Into<String>) -> SynopticError {
@@ -428,6 +437,42 @@ mod tests {
             mark: 120,
             values: vec![i64::MIN, -1, 0, 1, i64::MAX],
         });
+    }
+
+    #[test]
+    fn over_long_strings_truncate_at_a_char_boundary() {
+        // Exactly u16::MAX bytes fits whole.
+        let fits = "r".repeat(usize::from(u16::MAX));
+        round_trip(Frame::Refuse {
+            term: 1,
+            column: "c".into(),
+            applied_lsn: 2,
+            reason: fits,
+        });
+        // 65_534 ASCII bytes then two-byte chars: the u16::MAX cut lands
+        // mid-char and backs off to byte 65_534. The fields after the
+        // strings must still decode intact.
+        let long = "a".repeat(65_534) + &"é".repeat(100);
+        let bytes = encode_frame(&Frame::Refuse {
+            term: 7,
+            column: long.clone(),
+            applied_lsn: 41,
+            reason: long.clone(),
+        });
+        let Frame::Refuse {
+            term,
+            column,
+            applied_lsn,
+            reason,
+        } = decode_frame(&bytes).unwrap()
+        else {
+            panic!("an over-long Refuse must still decode as a Refuse");
+        };
+        assert_eq!((term, applied_lsn), (7, 41));
+        for back in [column, reason] {
+            assert_eq!(back.len(), 65_534, "the cut backs off to a char boundary");
+            assert!(long.starts_with(&back), "truncation keeps a prefix");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! The SAP0 DP is `O(n²B)`, so rebuilding one dirty segment of `S` costs
 //! about `1/S²` of the monolithic build — the reported
 //! `speedup_vs_monolithic` (monolithic full-rebuild time over this
-//! config's dirty-rebuild time) should far exceed the 4× the roadmap
-//! demands at 16 segments.
+//! config's dirty-rebuild time) far exceeds the 4× floor asserted at 16
+//! segments.
 //!
 //! Run with: `cargo run --release --example segments_bench`
 //! Writes `results/BENCH_segments.json` (override dir with
@@ -83,6 +83,13 @@ fn main() {
             monolithic_full = full;
         }
         let speedup = monolithic_full / dirty;
+        if segments == 16 {
+            assert!(
+                speedup >= 4.0,
+                "one dirty segment of 16 must rebuild at least 4x faster than \
+                 the monolithic column, got {speedup:.1}x"
+            );
+        }
         println!(
             "segments {segments:>3}: full {full:>9.3} ms, one-dirty {dirty:>9.3} ms, \
              {speedup:>7.1}x vs monolithic rebuild"
