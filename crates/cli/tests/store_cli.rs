@@ -3,7 +3,8 @@
 //! fsck clean → estimate still answers, with degradation warned on stderr.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_synoptic")
@@ -26,6 +27,30 @@ fn ok(args: &[&str]) -> Output {
         String::from_utf8_lossy(&out.stderr)
     );
     out
+}
+
+/// [`run`], but a process still alive after `limit` is killed and fails
+/// the test — a hang must not wedge the suite.
+fn run_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(bin())
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to launch synoptic binary");
+    let started = Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if started.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!(
+                "`synoptic {}` still running after {limit:?}",
+                args.join(" ")
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -377,6 +402,23 @@ fn exit_code_contract() {
         "--range",
         "0..31",
     ]);
+
+    // 0 within a time limit: an unbounded deadline times a large upgrade
+    // factor must saturate. An overflow would kill the maintenance worker
+    // and leave `maintain` waiting forever for its upgrade job.
+    let repro = format!(
+        "maintain --input {col_s} --method opt-a --budget 12 --updates 32 --workers 1 \
+         --deadline-ms {} --max-cells 1 --upgrade-in-background --upgrade-factor 2000",
+        u64::MAX
+    );
+    let args: Vec<&str> = repro.split_whitespace().collect();
+    let out = run_within(&args, Duration::from_secs(20));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // 4: corruption has its own code — fsck on a damaged store.
     let victim = store.join("price-1.syn");

@@ -190,9 +190,6 @@ pub struct Budget {
     deadline: Option<Instant>,
     max_cells: Option<u64>,
     cancel: Option<CancelToken>,
-    /// Evaluate constraints only every `charge_batch`-th checkpoint; see
-    /// [`Budget::with_charge_batch`].
-    charge_batch: u64,
     cells: AtomicU64,
     checks: AtomicU64,
 }
@@ -222,16 +219,17 @@ impl Budget {
             deadline: None,
             max_cells: None,
             cancel: None,
-            charge_batch: 1,
             cells: AtomicU64::new(0),
             checks: AtomicU64::new(0),
         }
     }
 
-    /// Adds a wall-clock deadline, measured from *now*.
+    /// Adds a wall-clock deadline, measured from *now*. A limit too far in
+    /// the future for the platform clock to represent (e.g.
+    /// [`Duration::MAX`]) can never expire, so it adds no deadline.
     #[must_use]
     pub fn with_deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(Instant::now() + limit);
+        self.deadline = Instant::now().checked_add(limit);
         self
     }
 
@@ -246,22 +244,6 @@ impl Budget {
     #[must_use]
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Evaluates the attached constraints only at every `batch`-th
-    /// checkpoint (cells are still metered at every one). On small `n`,
-    /// where per-checkpoint work is a handful of DP cells, this trades
-    /// cancellation/deadline latency — up to `batch - 1` checkpoints of
-    /// it — for lower checkpoint overhead. `batch` values `0` and `1`
-    /// both mean "every checkpoint", the default.
-    ///
-    /// The bit-identity contract is unchanged: batching never alters
-    /// iteration order or numeric state, only *when* an abort is noticed,
-    /// so an unconstrained build produces identical output at any batch.
-    #[must_use]
-    pub fn with_charge_batch(mut self, batch: u64) -> Self {
-        self.charge_batch = batch.max(1);
         self
     }
 
@@ -294,13 +276,7 @@ impl Budget {
                 Err(seen) => cur = seen,
             }
         }
-        let check_no = self.checks.fetch_add(1, Ordering::Relaxed) + 1;
-        if !check_no.is_multiple_of(self.charge_batch) {
-            // Off-batch checkpoint: metered above, constraints deferred to
-            // the next on-batch checkpoint. (`charge_batch` is 1 unless
-            // [`Budget::with_charge_batch`] raised it, and x % 1 == 0.)
-            return Ok(());
-        }
+        self.checks.fetch_add(1, Ordering::Relaxed);
         if let Some(token) = &self.cancel {
             if token.observe() {
                 return Err(SynopticError::Cancelled);
@@ -484,51 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn charge_batching_defers_constraint_checks_but_meters_every_charge() {
-        let b = Budget::unlimited().with_max_cells(10).with_charge_batch(4);
-        // Three off-batch checkpoints sail past the exceeded cap…
-        for _ in 0..3 {
-            b.charge(6).unwrap();
-        }
-        // …and the fourth (on-batch) one notices, reporting the true total.
-        assert_eq!(
-            b.charge(6).unwrap_err(),
-            SynopticError::CellBudgetExceeded {
-                used: 24,
-                limit: 10
-            }
-        );
-        assert_eq!(
-            b.checks_performed(),
-            4,
-            "every charge is still a checkpoint"
-        );
-    }
-
-    #[test]
-    fn charge_batching_defers_cancellation_by_at_most_batch_minus_one() {
-        let token = CancelToken::new();
-        token.cancel();
-        let b = Budget::unlimited()
-            .with_cancel_token(token)
-            .with_charge_batch(3);
+    fn unrepresentable_deadline_never_expires() {
+        let b = Budget::unlimited().with_deadline(Duration::MAX);
+        assert!(b.is_unlimited(), "no instant can hold the deadline");
         b.charge(1).unwrap();
-        b.charge(1).unwrap();
-        assert_eq!(b.charge(1).unwrap_err(), SynopticError::Cancelled);
-    }
-
-    #[test]
-    fn charge_batch_of_zero_or_one_checks_every_checkpoint() {
-        for batch in [0, 1] {
-            let b = Budget::unlimited()
-                .with_max_cells(5)
-                .with_charge_batch(batch);
-            assert_eq!(
-                b.charge(6).unwrap_err(),
-                SynopticError::CellBudgetExceeded { used: 6, limit: 5 },
-                "batch {batch}"
-            );
-        }
     }
 
     #[test]

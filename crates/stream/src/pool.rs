@@ -1,12 +1,10 @@
-//! Sharded background maintenance: the production driver for maintained
-//! synopses.
+//! Sharded background maintenance: the driver for maintained synopses.
 //!
-//! [`crate::MaintainedHistogram`] runs ingest, rebuild, and persist on one
-//! thread, in order — a rebuild (milliseconds to seconds of DP) or a
-//! persist retry ladder (up to [`RebuildConfig::persist_total_backoff`] of
-//! backoff sleeps) stalls every `update()` caller. This module splits each
-//! maintained column into two halves so that **ingest and range queries
-//! never block on a rebuild or a persist retry**:
+//! Run on the ingest thread, a rebuild (milliseconds to seconds of DP) or
+//! a persist retry ladder (up to [`RebuildConfig::persist_total_backoff`]
+//! of backoff sleeps) would stall every `update()` caller. This module
+//! splits each maintained column into two halves so that **ingest and
+//! range queries never block on a rebuild or a persist retry**:
 //!
 //! * a lock-light **serving handle** ([`ColumnHandle`]): point updates go
 //!   into a [`Fenwick`] tree behind a short mutex (held for `O(log n)`
@@ -40,12 +38,13 @@
 //!
 //! ## Serving invariant
 //!
-//! Same as the single-threaded facade, now under concurrency: once
-//! [`MaintainedPool::add_column`] returns, the column's estimator **never
-//! disappears** — every failure mode (budget exhaustion, cancellation,
+//! Once [`MaintainedPool::add_column`] returns, the column's estimator
+//! **never disappears** — every failure mode (budget exhaustion, cancellation,
 //! builder panic, persist failure, worker shutdown) leaves the last-good
 //! synopsis serving and is visible through [`ColumnHandle::stats`] /
-//! [`ColumnHandle::last_error`].
+//! [`ColumnHandle::last_error`]. The policy, budget, and persist contract
+//! is spelled out in [`crate::maintained`]; a one-worker pool quiesced
+//! after every scheduled rebuild runs it in program order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -64,7 +63,9 @@ use crate::maintained::{
     ColumnJournal, DurabilityConfig, DurablePersistFn, DurableSnapshot, PersistFn, RebuildConfig,
     RebuildPolicy, RebuildStats, SharedStorage,
 };
-use crate::segments::{build_segment, split_segment_budget, upgrade_segment, SegmentRuntime};
+use crate::segments::{
+    build_segment, split_segment_budget, upgrade_segment, worst_outcome, SegmentRuntime,
+};
 
 /// A boxed construction function for [`ColumnBuild::Custom`] columns.
 /// `Send` because it runs on the column's home worker thread.
@@ -155,7 +156,7 @@ struct ColumnInner {
     last_outcome: Mutex<Option<BuildOutcome>>,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
+pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -215,6 +216,70 @@ impl ColumnInner {
     fn set_error(&self, err: SynopticError) {
         *lock(&self.last_error) = Some(err);
     }
+
+    /// Snapshots the live frequencies for a rebuild or upgrade. The ingest
+    /// lock is held for the `O(n)` copy only — the build runs without it.
+    /// The WAL mark is read under the same lock: appends also run under
+    /// it, so the mark names exactly the last journal record the snapshot
+    /// contains. With `cut_dirty`, the dirty-segment marks are taken and
+    /// cleared at the same cut.
+    fn snapshot(&self, cut_dirty: bool) -> Snapshot {
+        let mut st = lock(&self.ingest);
+        let dirty = if cut_dirty {
+            let segments = st.dirty.len();
+            std::mem::replace(&mut st.dirty, vec![false; segments])
+        } else {
+            Vec::new()
+        };
+        Snapshot {
+            values: st.fenwick.to_values(),
+            drift_abs: st.drift_abs,
+            updates_since_rebuild: st.updates_since_rebuild,
+            wal_mark: self.wal.as_ref().map(|w| w.pending_mark()),
+            dirty,
+        }
+    }
+
+    /// Rebases the drift bookkeeping on a committed snapshot: updates that
+    /// arrived *during* the build keep their drift contribution relative
+    /// to the freshly built synopsis.
+    fn rebase(&self, snap: &Snapshot) {
+        let mass: i128 = snap.values.iter().map(|&v| i128::from(v)).sum();
+        let mut st = lock(&self.ingest);
+        st.drift_abs -= snap.drift_abs;
+        st.mass_at_build = mass.abs();
+        st.updates_since_rebuild -= snap.updates_since_rebuild;
+    }
+
+    /// Records a failed rebuild: the last-good synopsis keeps serving, the
+    /// error is kept, and the failure cooldown starts.
+    fn rebuild_failed(&self, err: SynopticError) {
+        self.stats.failed_rebuilds.fetch_add(1, Ordering::Relaxed);
+        self.set_error(err);
+        self.start_cooldown();
+        self.rebuild_pending.store(false, Ordering::Release);
+    }
+
+    /// Records a failed upgrade: the degraded synopsis keeps serving, and
+    /// the next degraded rebuild schedules another attempt.
+    fn upgrade_failed(&self, err: SynopticError) {
+        self.stats.failed_upgrades.fetch_add(1, Ordering::Relaxed);
+        self.set_error(err);
+    }
+}
+
+/// The live state a rebuild or upgrade works from, captured under one
+/// hold of the ingest lock ([`ColumnInner::snapshot`]).
+struct Snapshot {
+    values: Vec<i64>,
+    drift_abs: i128,
+    updates_since_rebuild: u64,
+    /// LSN of the last journal record `values` contains (journaled
+    /// columns only).
+    wal_mark: Option<u64>,
+    /// Dirty-segment marks cut at the snapshot (segmented rebuilds only;
+    /// empty otherwise).
+    dirty: Vec<bool>,
 }
 
 /// One job on a worker's queue.
@@ -238,8 +303,8 @@ impl ColumnHandle {
     /// critical section is the Fenwick update plus policy arithmetic. When
     /// the rebuild policy fires (and no rebuild is already in flight), a
     /// rebuild job is scheduled on the column's home worker; the returned
-    /// `bool` reports whether one was *scheduled* (the single-threaded
-    /// facade's `update` reports synchronous completion instead).
+    /// `bool` reports whether one was *scheduled* ([`ColumnHandle::quiesce`]
+    /// waits for it to finish).
     pub fn update(&self, i: usize, delta: i64) -> Result<bool> {
         // Narrow critical section: the write-ahead append, the Fenwick
         // write, the drift arithmetic it feeds, and the dirty-segment
@@ -662,8 +727,8 @@ impl MaintainedPool {
         // Persist the initial synopsis off-thread, piggybacked on the
         // upgrade/rebuild machinery: schedule an upgrade job when degraded
         // (it re-persists on success); otherwise leave durability to the
-        // first rebuild, matching the single-threaded facade.
-        if degraded && inner.config.upgrade_in_background {
+        // first rebuild.
+        if degraded && inner.config.upgrade_budget_factor.is_some() {
             schedule_upgrade(&handle.tx, &inner);
         }
         Ok(handle)
@@ -701,7 +766,7 @@ fn schedule_upgrade(tx: &mpsc::Sender<Job>, col: &Arc<ColumnInner>) {
     }
 }
 
-/// Shared policy validation (mirrors `MaintainedHistogram::with_config`).
+/// Rejects rebuild policies that could never (or would always) fire.
 fn validate_policy(policy: &RebuildPolicy) -> Result<()> {
     if let RebuildPolicy::DriftFraction(f) = policy {
         if f.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
@@ -769,14 +834,6 @@ fn anytime_params(config: &RebuildConfig) -> AnytimeParams {
     params
 }
 
-/// The most-degraded outcome of a set (highest ladder tier), cloned — what
-/// a segmented column reports through the monolithic
-/// [`ColumnHandle::last_outcome`] accessor. Per-segment detail lives in
-/// [`ColumnHandle::segment_outcomes`].
-fn worst_outcome(outcomes: &[BuildOutcome]) -> Option<BuildOutcome> {
-    outcomes.iter().max_by_key(|o| o.tier).cloned()
-}
-
 /// Builds every segment of a new segmented column through the anytime
 /// ladder (synchronously, on the registering thread — like the monolithic
 /// initial build, a failure here means there is nothing to serve and the
@@ -810,7 +867,6 @@ fn build_segmented_initial(
         budgets,
         parts: Mutex::new(parts),
         outcomes: Mutex::new(outcomes),
-        segment_builds: AtomicU64::new(segments as u64),
     };
     Ok((Arc::new(composed), worst, runtime))
 }
@@ -901,59 +957,16 @@ fn run_rebuild(col: &Arc<ColumnInner>, self_tx: &mpsc::Sender<Job>) {
         run_rebuild_segmented(col, self_tx);
         return;
     }
-    // 1. Snapshot the live frequencies. The ingest lock is held for the
-    //    O(n) copy only — the build below runs without it. The WAL mark is
-    //    read under the same lock: appends also run under it, so the mark
-    //    names exactly the last journal record the snapshot contains.
-    let (values, drift_snap, usr_snap, wal_mark) = {
-        let st = lock(&col.ingest);
-        (
-            st.fenwick.to_values(),
-            st.drift_abs,
-            st.updates_since_rebuild,
-            col.wal.as_ref().map(|w| w.pending_mark()),
-        )
-    };
-    let ps = PrefixSums::from_values(&values);
+    let snap = col.snapshot(false);
+    let ps = PrefixSums::from_values(&snap.values);
     let budget = col.config.budget();
     let result = {
         let mut build = lock(&col.build);
-        run_column_build(&mut build, &values, &ps, &budget, &col.config)
+        run_column_build(&mut build, &snap.values, &ps, &budget, &col.config)
     };
     match result {
-        Ok((est, outcome)) => {
-            col.serving.swap(est);
-            {
-                // Rebase drift bookkeeping on the snapshot: updates that
-                // arrived *during* the build keep their drift contribution
-                // relative to the freshly built synopsis.
-                let mut st = lock(&col.ingest);
-                st.drift_abs -= drift_snap;
-                st.mass_at_build = ps.total().abs();
-                st.updates_since_rebuild -= usr_snap;
-            }
-            col.clear_cooldown();
-            col.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-            *lock(&col.last_error) = None;
-            let degraded = outcome.as_ref().is_some_and(BuildOutcome::is_degraded);
-            if outcome.is_some() {
-                *lock(&col.last_outcome) = outcome;
-            }
-            // Ingest may schedule the next rebuild from here on; it will
-            // run after this job (same worker), which is exactly the
-            // serialization we want.
-            col.rebuild_pending.store(false, Ordering::Release);
-            run_persist(col, &values, wal_mark);
-            if degraded && col.config.upgrade_in_background {
-                schedule_upgrade(self_tx, col);
-            }
-        }
-        Err(err) => {
-            col.stats.failed_rebuilds.fetch_add(1, Ordering::Relaxed);
-            col.set_error(err);
-            col.start_cooldown();
-            col.rebuild_pending.store(false, Ordering::Release);
-        }
+        Ok((est, outcome)) => commit_rebuild(col, self_tx, &snap, est, outcome),
+        Err(err) => col.rebuild_failed(err),
     }
     col.job_finished();
 }
@@ -972,102 +985,76 @@ fn run_rebuild(col: &Arc<ColumnInner>, self_tx: &mpsc::Sender<Job>) {
 fn run_rebuild_segmented(col: &Arc<ColumnInner>, self_tx: &mpsc::Sender<Job>) {
     let seg = col.segments.as_ref().expect("caller checked segments");
     let s_count = seg.layout.segments();
-    let (values, drift_snap, usr_snap, wal_mark, dirty) = {
-        let mut st = lock(&col.ingest);
-        let dirty = std::mem::replace(&mut st.dirty, vec![false; s_count]);
-        (
-            st.fenwick.to_values(),
-            st.drift_abs,
-            st.updates_since_rebuild,
-            col.wal.as_ref().map(|w| w.pending_mark()),
-            dirty,
-        )
-    };
-    let targets: Vec<usize> = if dirty.iter().any(|&d| d) {
-        (0..s_count).filter(|&s| dirty[s]).collect()
+    let snap = col.snapshot(true);
+    let targets: Vec<usize> = if snap.dirty.iter().any(|&d| d) {
+        (0..s_count).filter(|&s| snap.dirty[s]).collect()
     } else {
         (0..s_count).collect()
     };
     let params = anytime_params(&col.config);
-    let mut fresh: Vec<(usize, Arc<dyn RangeEstimator>, BuildOutcome)> =
-        Vec::with_capacity(targets.len());
-    let mut failure: Option<SynopticError> = None;
-    for &s in &targets {
-        match build_segment(seg.method, &values, &seg.layout, s, seg.budgets[s], &params) {
-            Ok((est, outcome)) => fresh.push((s, est, outcome)),
-            Err(err) => {
-                failure = Some(err);
-                break;
-            }
-        }
-    }
-    seg.record_builds(fresh.len() as u64);
-    let composed = match failure {
-        Some(err) => Err(err),
-        None => {
-            let mut parts = lock(&seg.parts).clone();
-            for (s, est, _) in &fresh {
-                parts[*s] = Arc::clone(est);
-            }
-            SegmentedEstimator::new(seg.layout.clone(), parts)
-        }
-    };
-    match composed {
-        Ok(composed) => {
-            // Commit: publish the composition, then record the fresh
-            // partials and their provenance as the new baseline.
-            col.serving.swap(Arc::new(composed));
-            {
-                let mut parts = lock(&seg.parts);
-                let mut outcomes = lock(&seg.outcomes);
-                for (s, est, outcome) in fresh {
-                    parts[s] = est;
-                    outcomes[s] = outcome;
-                }
-            }
-            {
-                let mut st = lock(&col.ingest);
-                st.drift_abs -= drift_snap;
-                st.mass_at_build = PrefixSums::from_values(&values).total().abs();
-                st.updates_since_rebuild -= usr_snap;
-            }
-            col.clear_cooldown();
-            col.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
+    let result = seg.rebuild_parts(&targets, |s| {
+        build_segment(
+            seg.method,
+            &snap.values,
+            &seg.layout,
+            s,
+            seg.budgets[s],
+            &params,
+        )
+    });
+    match result {
+        Ok((composed, fresh)) => {
+            let worst = seg.commit(fresh);
             col.stats
                 .segments_rebuilt
                 .fetch_add(targets.len() as u64, Ordering::Relaxed);
             col.stats
                 .segments_reused
                 .fetch_add((s_count - targets.len()) as u64, Ordering::Relaxed);
-            *lock(&col.last_error) = None;
-            let (worst, degraded) = {
-                let outcomes = lock(&seg.outcomes);
-                let degraded = outcomes.iter().any(BuildOutcome::is_degraded);
-                (worst_outcome(&outcomes), degraded)
-            };
-            *lock(&col.last_outcome) = worst;
-            col.rebuild_pending.store(false, Ordering::Release);
-            run_persist(col, &values, wal_mark);
-            if degraded && col.config.upgrade_in_background {
-                schedule_upgrade(self_tx, col);
-            }
+            commit_rebuild(col, self_tx, &snap, Arc::new(composed), worst);
         }
         Err(err) => {
             {
                 let mut st = lock(&col.ingest);
-                for (s, &was) in dirty.iter().enumerate() {
+                for (s, &was) in snap.dirty.iter().enumerate() {
                     if was {
                         st.dirty[s] = true;
                     }
                 }
             }
-            col.stats.failed_rebuilds.fetch_add(1, Ordering::Relaxed);
-            col.set_error(err);
-            col.start_cooldown();
-            col.rebuild_pending.store(false, Ordering::Release);
+            col.rebuild_failed(err);
         }
     }
     col.job_finished();
+}
+
+/// Publishes a successful rebuild: hot-swap the fresh synopsis, rebase the
+/// drift bookkeeping on the snapshot, clear the failure state, persist
+/// off-thread, and schedule an upgrade when the committed rung is
+/// degraded.
+fn commit_rebuild(
+    col: &Arc<ColumnInner>,
+    self_tx: &mpsc::Sender<Job>,
+    snap: &Snapshot,
+    est: Arc<dyn RangeEstimator>,
+    outcome: Option<BuildOutcome>,
+) {
+    col.serving.swap(est);
+    col.rebase(snap);
+    col.clear_cooldown();
+    col.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
+    *lock(&col.last_error) = None;
+    let degraded = outcome.as_ref().is_some_and(BuildOutcome::is_degraded);
+    if outcome.is_some() {
+        *lock(&col.last_outcome) = outcome;
+    }
+    // Ingest may schedule the next rebuild from here on; it will run after
+    // this job (same worker), which is exactly the serialization we want.
+    col.rebuild_pending.store(false, Ordering::Release);
+    run_persist(col, &snap.values, snap.wal_mark);
+    if degraded && col.config.upgrade_budget_factor.is_some() {
+        schedule_upgrade(self_tx, col);
+    }
 }
 
 /// One background upgrade: re-run the abandoned tier-0 rung over a fresh
@@ -1099,30 +1086,12 @@ fn run_upgrade(col: &Arc<ColumnInner>) {
             }
         }
     };
-    let (values, drift_snap, usr_snap, wal_mark) = {
-        let st = lock(&col.ingest);
-        (
-            st.fenwick.to_values(),
-            st.drift_abs,
-            st.updates_since_rebuild,
-            col.wal.as_ref().map(|w| w.pending_mark()),
-        )
-    };
-    let ps = PrefixSums::from_values(&values);
-    let factor = col.config.upgrade_budget_factor.max(1);
-    let mut budget = Budget::unlimited();
-    if let Some(d) = col.config.deadline {
-        budget = budget.with_deadline(d * factor);
-    }
-    if let Some(c) = col.config.max_cells {
-        budget = budget.with_max_cells(c.saturating_mul(factor as u64));
-    }
-    if let Some(t) = &col.config.cancel {
-        budget = budget.with_cancel_token(t.clone());
-    }
+    let snap = col.snapshot(false);
+    let ps = PrefixSums::from_values(&snap.values);
+    let budget = col.config.upgrade_budget();
     let started = std::time::Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        build_with_budget(method, &values, &ps, words, &budget)
+        build_with_budget(method, &snap.values, &ps, words, &budget)
     }))
     .unwrap_or_else(|payload| {
         Err(SynopticError::BuildPanicked {
@@ -1131,37 +1100,23 @@ fn run_upgrade(col: &Arc<ColumnInner>) {
     });
     match result {
         Ok(est) => {
-            let est: Arc<dyn RangeEstimator> = Arc::from(est);
-            col.serving.swap(est);
-            {
-                let mut st = lock(&col.ingest);
-                st.drift_abs -= drift_snap;
-                st.mass_at_build = ps.total().abs();
-                st.updates_since_rebuild -= usr_snap;
-            }
-            col.stats.upgrades.fetch_add(1, Ordering::Relaxed);
-            *lock(&col.last_outcome) = Some(BuildOutcome::direct(
+            let outcome = BuildOutcome::direct(
                 method.name(),
                 started.elapsed().as_millis() as u64,
                 budget.cells_used(),
-            ));
-            run_persist(col, &values, wal_mark);
+            );
+            commit_upgrade(col, &snap, Arc::from(est), Some(outcome));
         }
-        Err(err) => {
-            // The degraded synopsis keeps serving; the next degraded
-            // rebuild will schedule another attempt.
-            col.stats.failed_upgrades.fetch_add(1, Ordering::Relaxed);
-            col.set_error(err);
-        }
+        Err(err) => col.upgrade_failed(err),
     }
     col.job_finished();
 }
 
 /// One background upgrade of a **segmented** column: re-run the tier-0
 /// method directly (no ladder) on every segment whose committed outcome is
-/// degraded, at the multiplied budget, and hot-swap the re-composition.
-/// All-or-nothing like the monolithic upgrade: any failure keeps the
-/// degraded partials serving and counts one failed upgrade.
+/// degraded, each under its own multiplied budget, and hot-swap the
+/// re-composition. All-or-nothing like the monolithic upgrade: any failure
+/// keeps the degraded partials serving and counts one failed upgrade.
 fn run_upgrade_segmented(col: &Arc<ColumnInner>) {
     let seg = col.segments.as_ref().expect("caller checked segments");
     let degraded: Vec<usize> = {
@@ -1174,78 +1129,42 @@ fn run_upgrade_segmented(col: &Arc<ColumnInner>) {
         col.job_finished(); // a newer rebuild already restored full quality
         return;
     }
-    let (values, drift_snap, usr_snap, wal_mark) = {
-        let st = lock(&col.ingest);
-        (
-            st.fenwick.to_values(),
-            st.drift_abs,
-            st.updates_since_rebuild,
-            col.wal.as_ref().map(|w| w.pending_mark()),
+    let snap = col.snapshot(false);
+    let result = seg.rebuild_parts(&degraded, |s| {
+        let budget = col.config.upgrade_budget();
+        upgrade_segment(
+            seg.method,
+            &snap.values,
+            &seg.layout,
+            s,
+            seg.budgets[s],
+            &budget,
         )
-    };
-    let factor = col.config.upgrade_budget_factor.max(1);
-    let mut fresh: Vec<(usize, Arc<dyn RangeEstimator>, BuildOutcome)> =
-        Vec::with_capacity(degraded.len());
-    let mut failure: Option<SynopticError> = None;
-    for &s in &degraded {
-        let mut budget = Budget::unlimited();
-        if let Some(d) = col.config.deadline {
-            budget = budget.with_deadline(d * factor);
+    });
+    match result {
+        Ok((composed, fresh)) => {
+            let worst = seg.commit(fresh);
+            commit_upgrade(col, &snap, Arc::new(composed), worst);
         }
-        if let Some(c) = col.config.max_cells {
-            budget = budget.with_max_cells(c.saturating_mul(factor as u64));
-        }
-        if let Some(t) = &col.config.cancel {
-            budget = budget.with_cancel_token(t.clone());
-        }
-        match upgrade_segment(seg.method, &values, &seg.layout, s, seg.budgets[s], &budget) {
-            Ok((est, outcome)) => fresh.push((s, est, outcome)),
-            Err(err) => {
-                failure = Some(err);
-                break;
-            }
-        }
-    }
-    seg.record_builds(fresh.len() as u64);
-    let composed = match failure {
-        Some(err) => Err(err),
-        None => {
-            let mut parts = lock(&seg.parts).clone();
-            for (s, est, _) in &fresh {
-                parts[*s] = Arc::clone(est);
-            }
-            SegmentedEstimator::new(seg.layout.clone(), parts)
-        }
-    };
-    match composed {
-        Ok(composed) => {
-            col.serving.swap(Arc::new(composed));
-            {
-                let mut parts = lock(&seg.parts);
-                let mut outcomes = lock(&seg.outcomes);
-                for (s, est, outcome) in fresh {
-                    parts[s] = est;
-                    outcomes[s] = outcome;
-                }
-            }
-            {
-                let mut st = lock(&col.ingest);
-                st.drift_abs -= drift_snap;
-                st.mass_at_build = PrefixSums::from_values(&values).total().abs();
-                st.updates_since_rebuild -= usr_snap;
-            }
-            col.stats.upgrades.fetch_add(1, Ordering::Relaxed);
-            *lock(&col.last_outcome) = worst_outcome(&lock(&seg.outcomes));
-            run_persist(col, &values, wal_mark);
-        }
-        Err(err) => {
-            // The degraded partials keep serving; the next degraded
-            // rebuild schedules another attempt.
-            col.stats.failed_upgrades.fetch_add(1, Ordering::Relaxed);
-            col.set_error(err);
-        }
+        Err(err) => col.upgrade_failed(err),
     }
     col.job_finished();
+}
+
+/// Publishes a successful upgrade: hot-swap the better synopsis, rebase
+/// the drift bookkeeping on the snapshot, record its provenance, and
+/// re-persist off-thread.
+fn commit_upgrade(
+    col: &Arc<ColumnInner>,
+    snap: &Snapshot,
+    est: Arc<dyn RangeEstimator>,
+    outcome: Option<BuildOutcome>,
+) {
+    col.serving.swap(est);
+    col.rebase(snap);
+    col.stats.upgrades.fetch_add(1, Ordering::Relaxed);
+    *lock(&col.last_outcome) = outcome;
+    run_persist(col, &snap.values, snap.wal_mark);
 }
 
 /// Runs the persist hook (if any) through the shared bounded retry ladder,
@@ -1254,45 +1173,27 @@ fn run_upgrade_segmented(col: &Arc<ColumnInner>) {
 /// the committed generation now covers.
 fn run_persist(col: &Arc<ColumnInner>, values: &[i64], wal_mark: Option<u64>) {
     let estimator = col.serving.load();
-    if let Some(wal) = &col.wal {
+    let (report, checkpoint) = if let Some(wal) = &col.wal {
         let mut hook = lock(&col.durable_persist);
         let Some(hook) = hook.as_mut() else {
             return;
         };
-        let mark = wal_mark.unwrap_or(0);
         let snapshot = DurableSnapshot {
             estimator: estimator.as_ref(),
             values,
-            wal_mark: mark,
+            wal_mark: wal_mark.unwrap_or(0),
         };
         let (report, generation) =
             persist_durable_with_retry(hook.as_mut(), &snapshot, &col.config);
-        col.stats
-            .persist_retries
-            .fetch_add(report.retries, Ordering::Relaxed);
-        if report.failed {
-            col.stats.persist_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(err) = report.last_error {
-            col.set_error(err);
-        }
-        if !report.failed {
-            if let Some(generation) = generation {
-                // A failed truncation is non-fatal: stale segments are
-                // skipped at replay (LSNs ≤ the committed mark) and the
-                // next checkpoint retries the delete.
-                if let Err(err) = wal.checkpoint(mark, generation) {
-                    col.set_error(err);
-                }
-            }
-        }
-        return;
-    }
-    let mut persist = lock(&col.persist);
-    let Some(persist) = persist.as_mut() else {
-        return;
+        (report, generation.map(|g| (wal, snapshot.wal_mark, g)))
+    } else {
+        let mut persist = lock(&col.persist);
+        let Some(persist) = persist.as_mut() else {
+            return;
+        };
+        let report = persist_with_retry(persist.as_mut(), estimator.as_ref(), &col.config);
+        (report, None)
     };
-    let report = persist_with_retry(persist.as_mut(), estimator.as_ref(), &col.config);
     col.stats
         .persist_retries
         .fetch_add(report.retries, Ordering::Relaxed);
@@ -1301,6 +1202,14 @@ fn run_persist(col: &Arc<ColumnInner>, values: &[i64], wal_mark: Option<u64>) {
     }
     if let Some(err) = report.last_error {
         col.set_error(err);
+    }
+    if let (false, Some((wal, mark, generation))) = (report.failed, checkpoint) {
+        // A failed truncation is non-fatal: stale segments are skipped at
+        // replay (LSNs ≤ the committed mark) and the next checkpoint
+        // retries the delete.
+        if let Err(err) = wal.checkpoint(mark, generation) {
+            col.set_error(err);
+        }
     }
 }
 
@@ -1320,6 +1229,7 @@ const _: () = {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use synoptic_core::CancelToken;
     use synoptic_hist::sap0::build_sap0_with_budget;
 
     fn sap0_builder() -> ColumnBuild {
@@ -1465,6 +1375,196 @@ mod tests {
             assert!(!col.update(0, 2).unwrap());
         }
         assert_eq!(col.stats().rebuilds, 0);
+        // The estimator is stale, but the maintenance side is exact.
+        let q = RangeQuery { lo: 0, hi: 0 };
+        assert_eq!(col.exact(q), 103);
+        let stale = col.estimate(q);
+        assert!(col.request_rebuild().unwrap());
+        col.quiesce();
+        assert_eq!(col.stats().rebuilds, 1);
+        let fresh = col.estimate(q);
+        assert!(
+            (fresh - 103.0).abs() < (stale - 103.0).abs(),
+            "rebuild should tighten the estimate: stale {stale}, fresh {fresh}"
+        );
+    }
+
+    #[test]
+    fn exhausted_cell_budget_keeps_last_good_serving() {
+        // The cap admits the initial 2-bucket build; every rebuild asks for
+        // 6 buckets, whose DP needs more cells than the cap allows.
+        let vals: Vec<i64> = (0..16).map(|i| 10 + (i * 7) % 13).collect();
+        let metered = Budget::unlimited();
+        build_sap0_with_budget(&PrefixSums::from_values(&vals), 2, &metered).unwrap();
+        let cap = metered.cells_used();
+        let mut calls = 0u32;
+        let build =
+            ColumnBuild::Custom(Box::new(move |_v: &[i64], ps: &PrefixSums, b: &Budget| {
+                calls += 1;
+                let buckets = if calls == 1 { 2 } else { 6 };
+                Ok(Box::new(build_sap0_with_budget(ps, buckets, b)?) as Box<dyn RangeEstimator>)
+            }));
+        let pool = MaintainedPool::new(1);
+        let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(4)).with_max_cells(cap);
+        let col = pool.add_column("c", &vals, build, config).unwrap();
+        let q = RangeQuery { lo: 0, hi: 15 };
+        let before = col.estimate(q);
+        for t in 0..4 {
+            col.update(t, 5).unwrap();
+        }
+        col.quiesce();
+        assert_eq!(col.stats().failed_rebuilds, 1);
+        assert_eq!(col.stats().rebuilds, 0);
+        assert!(matches!(
+            col.last_error(),
+            Some(SynopticError::CellBudgetExceeded { limit, .. }) if limit == cap
+        ));
+        assert_eq!(before.to_bits(), col.estimate(q).to_bits());
+        assert_eq!(col.serving_generation(), 0);
+    }
+
+    #[test]
+    fn cancelled_rebuild_is_recorded_and_succeeds_after_reset() {
+        let pool = MaintainedPool::new(1);
+        let vals = vec![3i64; 10];
+        let token = CancelToken::new();
+        let config = RebuildConfig::new(RebuildPolicy::Manual).with_cancel_token(token.clone());
+        let col = pool.add_column("c", &vals, sap0_builder(), config).unwrap();
+        let q = RangeQuery { lo: 0, hi: 9 };
+        let before = col.estimate(q);
+        token.cancel();
+        assert!(col.request_rebuild().unwrap());
+        col.quiesce();
+        assert_eq!(col.last_error(), Some(SynopticError::Cancelled));
+        assert_eq!(col.stats().failed_rebuilds, 1);
+        assert_eq!(before.to_bits(), col.estimate(q).to_bits());
+        // Un-cancel: the next rebuild succeeds and clears the error.
+        token.reset();
+        assert!(col.request_rebuild().unwrap());
+        col.quiesce();
+        assert!(col.last_error().is_none());
+        assert_eq!(col.stats().rebuilds, 1);
+    }
+
+    #[test]
+    fn failure_cooldown_doubles_then_resets_on_success() {
+        // Builder calls: the initial build succeeds, then rebuilds fail,
+        // fail, succeed, fail.
+        let outcomes = [true, false, false, true, false];
+        let mut call = 0usize;
+        let build =
+            ColumnBuild::Custom(Box::new(move |_v: &[i64], ps: &PrefixSums, b: &Budget| {
+                call += 1;
+                if !outcomes[call - 1] {
+                    return Err(SynopticError::DeadlineExceeded { elapsed_ms: 1 });
+                }
+                Ok(Box::new(build_sap0_with_budget(ps, 2, b)?) as Box<dyn RangeEstimator>)
+            }));
+        let pool = MaintainedPool::new(1);
+        let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(2));
+        let cooldown = config.failure_cooldown_updates;
+        let col = pool.add_column("c", &[5i64; 8], build, config).unwrap();
+        // Ingests one update; on a scheduled rebuild, waits for it.
+        let step = |t: u64| {
+            let scheduled = col.update((t % 8) as usize, 1).unwrap();
+            if scheduled {
+                col.quiesce();
+            }
+            scheduled
+        };
+        // Asserts the policy stays silent for exactly `n` updates and fires
+        // on the next one.
+        let silent_for = |n: u64| {
+            for t in 0..n {
+                assert!(!step(t), "update {t} of {n} must not schedule");
+            }
+            assert!(step(n), "update {n} must schedule");
+        };
+        silent_for(1); // k = 2: the first rebuild fails
+        assert_eq!(col.stats().failed_rebuilds, 1);
+        silent_for(cooldown); // fails again: the cooldown doubles
+        assert_eq!(col.stats().failed_rebuilds, 2);
+        silent_for(2 * cooldown); // succeeds: the cooldown resets
+        assert_eq!(col.stats().rebuilds, 1);
+        assert!(col.last_error().is_none());
+        silent_for(1); // k = 2 again, and the rebuild fails
+        assert_eq!(col.stats().failed_rebuilds, 3);
+        for t in 0..cooldown {
+            assert!(!step(t), "reset cooldown is the base {cooldown} updates");
+        }
+    }
+
+    #[test]
+    fn permanent_persist_failure_counts_while_fresh_estimate_serves() {
+        let pool = MaintainedPool::new(1);
+        let vals = vec![1i64; 6];
+        let persist: PersistFn = Box::new(|_e: &dyn RangeEstimator| {
+            Err(SynopticError::Io {
+                path: "/dev/full".into(),
+                detail: "enospc".into(),
+            })
+        });
+        let config = RebuildConfig::new(RebuildPolicy::Manual)
+            .with_persist_retries(1, Duration::from_micros(10));
+        let col = pool
+            .add_column_with_persist("c", &vals, sap0_builder(), config, Some(persist))
+            .unwrap();
+        for i in 0..6 {
+            col.update(i, 10).unwrap();
+        }
+        col.request_rebuild().unwrap();
+        col.quiesce();
+        // The rebuild counted even though persistence failed.
+        let stats = col.stats();
+        assert_eq!(stats.rebuilds, 1);
+        assert_eq!(stats.persist_failures, 1);
+        assert_eq!(stats.persist_retries, 1);
+        let est = col.estimate(RangeQuery { lo: 0, hi: 5 });
+        assert!((est - 66.0).abs() < 10.0, "fresh estimate, got {est}");
+        assert!(matches!(col.last_error(), Some(SynopticError::Io { .. })));
+    }
+
+    #[test]
+    fn unbounded_deadline_registers_and_rebuilds() {
+        let pool = MaintainedPool::new(1);
+        let vals = vec![4i64; 12];
+        let config =
+            RebuildConfig::new(RebuildPolicy::EveryKUpdates(2)).with_deadline(Duration::MAX);
+        let anytime = ColumnBuild::Anytime {
+            method: HistogramMethod::Sap0,
+            budget_words: 9,
+        };
+        for build in [sap0_builder(), anytime] {
+            let col = pool.add_column("c", &vals, build, config.clone()).unwrap();
+            col.update(0, 1).unwrap();
+            assert!(col.update(1, 1).unwrap());
+            col.quiesce();
+            assert_eq!(col.stats().rebuilds, 1, "{:?}", col.last_error());
+        }
+    }
+
+    #[test]
+    fn extreme_upgrade_factor_saturates_and_the_worker_survives() {
+        // A one-cell cap degrades the initial OPT-A build, so an upgrade is
+        // scheduled at once; multiplying an unbounded deadline by the
+        // largest factor must saturate instead of killing the worker.
+        let vals: Vec<i64> = (0..32).map(|i| (i * i * 31 + 7 * i) % 97).collect();
+        let pool = MaintainedPool::new(1);
+        let config = RebuildConfig::new(RebuildPolicy::Manual)
+            .with_deadline(Duration::MAX)
+            .with_max_cells(1)
+            .with_background_upgrade(u32::MAX);
+        let build = ColumnBuild::Anytime {
+            method: HistogramMethod::OptA,
+            budget_words: 12,
+        };
+        let col = pool.add_column("c", &vals, build, config).unwrap();
+        assert!(col.last_outcome().unwrap().is_degraded());
+        col.quiesce();
+        let stats = col.stats();
+        assert_eq!(stats.upgrades, 1, "{stats:?} {:?}", col.last_error());
+        assert_eq!(col.estimator().method_name(), "OPT-A");
+        // The worker is still alive: a further job runs to completion.
         assert!(col.request_rebuild().unwrap());
         col.quiesce();
         assert_eq!(col.stats().rebuilds, 1);

@@ -19,17 +19,18 @@
 //! values), the standard surrogate when exact range-SSE curves are too
 //! expensive to construct at registration time.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use synoptic_catalog::{allocate_budget, ColumnCurve};
 use synoptic_core::{
-    Budget, BuildOutcome, PrefixSums, RangeEstimator, Result, SegmentLayout, SynopticError,
+    Budget, BuildOutcome, PrefixSums, RangeEstimator, Result, SegmentLayout, SegmentedEstimator,
+    SynopticError,
 };
 use synoptic_hist::builder::{build_anytime, build_with_budget, AnytimeParams, HistogramMethod};
 
 use crate::maintained::panic_detail;
+use crate::pool::lock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runtime state of one segmented pool column. Budgets and layout are
@@ -46,14 +47,51 @@ pub(crate) struct SegmentRuntime {
     pub parts: Mutex<Vec<Arc<dyn RangeEstimator>>>,
     /// Per-segment provenance of the most recent committed build.
     pub outcomes: Mutex<Vec<BuildOutcome>>,
-    /// Lifetime count of segment rebuilds (ladder runs) for this column.
-    pub segment_builds: AtomicU64,
 }
 
+/// A freshly built partial: segment index, synopsis, and provenance.
+pub(crate) type FreshPart = (usize, Arc<dyn RangeEstimator>, BuildOutcome);
+
 impl SegmentRuntime {
-    pub(crate) fn record_builds(&self, n: u64) {
-        self.segment_builds.fetch_add(n, Ordering::Relaxed);
+    /// Builds the `targets` segments with `build`, stopping at the first
+    /// failure, and composes the fresh partials over the serving ones
+    /// without committing them.
+    pub(crate) fn rebuild_parts(
+        &self,
+        targets: &[usize],
+        mut build: impl FnMut(usize) -> Result<(Arc<dyn RangeEstimator>, BuildOutcome)>,
+    ) -> Result<(SegmentedEstimator, Vec<FreshPart>)> {
+        let mut fresh: Vec<FreshPart> = Vec::with_capacity(targets.len());
+        for &s in targets {
+            let (est, outcome) = build(s)?;
+            fresh.push((s, est, outcome));
+        }
+        let mut parts = lock(&self.parts).clone();
+        for (s, est, _) in &fresh {
+            parts[*s] = Arc::clone(est);
+        }
+        let composed = SegmentedEstimator::new(self.layout.clone(), parts)?;
+        Ok((composed, fresh))
     }
+
+    /// Records `fresh` partials and their provenance as the new baseline,
+    /// and returns the most-degraded outcome across all segments — what a
+    /// segmented column reports as its monolithic
+    /// [`crate::ColumnHandle::last_outcome`].
+    pub(crate) fn commit(&self, fresh: Vec<FreshPart>) -> Option<BuildOutcome> {
+        let mut parts = lock(&self.parts);
+        let mut outcomes = lock(&self.outcomes);
+        for (s, est, outcome) in fresh {
+            parts[s] = est;
+            outcomes[s] = outcome;
+        }
+        worst_outcome(&outcomes)
+    }
+}
+
+/// The most-degraded outcome of a set (highest ladder tier), cloned.
+pub(crate) fn worst_outcome(outcomes: &[BuildOutcome]) -> Option<BuildOutcome> {
+    outcomes.iter().max_by_key(|o| o.tier).cloned()
 }
 
 /// Splits `total_words` across the segments of `layout` with the catalog's

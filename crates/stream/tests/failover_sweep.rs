@@ -35,22 +35,20 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use synoptic_catalog::{
-    Catalog, ColumnEntry, DurableCatalog, Fault, FaultyStorage, FsStorage, PersistentSynopsis,
-};
-use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery, Result, SynopticError};
-use synoptic_hist::sap0::build_sap0_with_budget;
+use synoptic_catalog::{Fault, FaultyStorage, FsStorage};
+use synoptic_core::{RangeQuery, SynopticError};
 use synoptic_repl::election::{ManualClock, Seeder, TermLedger};
 use synoptic_repl::transport::{MemTransport, Received, Transport};
 use synoptic_repl::wire::{decode_frame, encode_frame, Frame};
 use synoptic_repl::Shipper;
 use synoptic_stream::{
-    promote, rejoin, DurabilityConfig, FollowConfig, Follower, MaintainedHistogram, RebuildConfig,
+    promote, rejoin, DurabilityConfig, FollowConfig, Follower, MaintainedPool, RebuildConfig,
     RebuildPolicy, ServeOutcome, SharedStorage,
 };
 
-const COLUMN: &str = "c";
-const N: usize = 16;
+mod common;
+
+use common::{builder, commit_initial, initial_values, stream, COLUMN, N};
 const LEADER_NODE: u64 = 10;
 const PROMOTED_NODE: u64 = 20;
 const TTL: u64 = 10;
@@ -63,44 +61,6 @@ fn tempdir(tag: &str, k: usize) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn initial_values() -> Vec<i64> {
-    (0..N as i64).map(|i| 10 + (i * 7) % 23).collect()
-}
-
-fn stream(len: usize) -> Vec<(usize, i64)> {
-    let mut s = 0x2001_u64;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        let i = (s % N as u64) as usize;
-        let d = ((s >> 32) % 9) as i64 - 4;
-        out.push((i, if d == 0 { 5 } else { d }));
-    }
-    out
-}
-
-fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>> {
-    |_vals: &[i64], ps: &PrefixSums, budget: &Budget| {
-        Ok(Box::new(build_sap0_with_budget(ps, 3, budget)?) as Box<dyn RangeEstimator>)
-    }
-}
-
-fn commit_initial(cat_dir: &std::path::Path, values: &[i64]) -> u64 {
-    let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
-    let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(values),
-        },
-    );
-    store.save(&cat).unwrap()
 }
 
 /// How the leader dies at index `k`.
@@ -145,9 +105,18 @@ fn run_failover_scenario(tag: &str, k: usize, kill: Kill, updates: usize) -> boo
         .with_segment_bytes(128) // rotate every ~3 records
         .with_fsync(synoptic_catalog::wal::FsyncCadence::OnRotate);
     let config = RebuildConfig::new(RebuildPolicy::Manual);
-    let mut leader = MaintainedHistogram::with_config(&values, builder(), config)
-        .unwrap()
-        .with_durability(shared, COLUMN, &durability, generation)
+    let leader_pool = MaintainedPool::new(1);
+    let leader = leader_pool
+        .add_column_durable(
+            COLUMN,
+            &values,
+            builder(),
+            config,
+            shared,
+            &durability,
+            generation,
+            None,
+        )
         .unwrap();
 
     let clock = ManualClock::new();
@@ -349,6 +318,7 @@ fn run_failover_scenario(tag: &str, k: usize, kill: Kill, updates: usize) -> boo
         // End-to-end fencing first: the surviving ex-leader's own
         // shipper learns it was deposed.
         drop(leader);
+        drop(leader_pool);
         let (fenced_end, promoted_end) = MemTransport::pair();
         let fence_serve = std::thread::spawn(move || {
             let mut promoted = promoted;
@@ -434,15 +404,11 @@ fn run_failover_scenario(tag: &str, k: usize, kill: Kill, updates: usize) -> boo
 /// promotion, fencing, and single-claimant all hold at every index.
 #[test]
 fn failover_after_enospc_kill_at_every_write_op() {
-    let mut exhausted = false;
-    for k in 0..120 {
-        if !run_failover_scenario("enospc", k, Kill::Storage(Fault::Enospc), 14) {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(
-        exhausted,
+    let exhausted_at =
+        (0..120).find(|&k| !run_failover_scenario("enospc", k, Kill::Storage(Fault::Enospc), 14));
+    assert_eq!(
+        exhausted_at,
+        Some(28),
         "sweep must extend past the scenario's total write-op count"
     );
 }
@@ -451,14 +417,13 @@ fn failover_after_enospc_kill_at_every_write_op() {
 /// operation.
 #[test]
 fn failover_after_crash_kill_at_every_write_op() {
-    let mut exhausted = false;
-    for k in 0..120 {
-        if !run_failover_scenario("crash", k, Kill::Storage(Fault::CrashBeforeRename), 14) {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(exhausted, "sweep must cover the whole operation stream");
+    let exhausted_at = (0..120)
+        .find(|&k| !run_failover_scenario("crash", k, Kill::Storage(Fault::CrashBeforeRename), 14));
+    assert_eq!(
+        exhausted_at,
+        Some(28),
+        "sweep must cover the whole operation stream"
+    );
 }
 
 /// The link goes permanently dark after every round (one heartbeat
@@ -467,12 +432,11 @@ fn failover_after_crash_kill_at_every_write_op() {
 /// re-seeded back in as a follower.
 #[test]
 fn failover_after_partition_at_every_round() {
-    let mut exhausted = false;
-    for k in 0..40 {
-        if !run_failover_scenario("partition", k, Kill::Partition, 14) {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(exhausted, "sweep must cover every replication round");
+    let exhausted_at =
+        (0..40).find(|&k| !run_failover_scenario("partition", k, Kill::Partition, 14));
+    assert_eq!(
+        exhausted_at,
+        Some(14),
+        "sweep must cover every replication round"
+    );
 }

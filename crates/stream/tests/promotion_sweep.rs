@@ -3,8 +3,8 @@
 //! The replicated extension of the recovery sweep's property: **a
 //! follower promoted after the leader dies serves exactly the state the
 //! leader acknowledged as replicated — no lost acks, no phantom
-//! updates.** Each scenario drives a journaled leader
-//! ([`MaintainedHistogram`]) over a [`FaultyStorage`] whose schedule
+//! updates.** Each scenario drives a journaled leader (a
+//! [`MaintainedPool`] column) over a [`FaultyStorage`] whose schedule
 //! kills it at write operation `k`; after every acknowledged update the
 //! leader seals and ships its journal to a live follower over a
 //! [`MemTransport`]. When the fault fires, the leader process "dies"
@@ -23,20 +23,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use synoptic_catalog::{
-    Catalog, ColumnEntry, DurableCatalog, Fault, FaultyStorage, FsStorage, PersistentSynopsis,
-};
-use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery, Result};
-use synoptic_hist::sap0::build_sap0_with_budget;
+use synoptic_catalog::{Fault, FaultyStorage, FsStorage};
+use synoptic_core::RangeQuery;
 use synoptic_repl::transport::{MemTransport, Transport};
 use synoptic_repl::Shipper;
 use synoptic_stream::{
-    DurabilityConfig, FollowConfig, Follower, MaintainedHistogram, RebuildConfig, RebuildPolicy,
+    DurabilityConfig, FollowConfig, Follower, MaintainedPool, RebuildConfig, RebuildPolicy,
     SharedStorage,
 };
 
-const COLUMN: &str = "c";
-const N: usize = 16;
+mod common;
+
+use common::{builder, commit_initial, initial_values, stream, COLUMN, N};
 
 fn tempdir(tag: &str, k: usize) -> std::path::PathBuf {
     let dir =
@@ -44,44 +42,6 @@ fn tempdir(tag: &str, k: usize) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn initial_values() -> Vec<i64> {
-    (0..N as i64).map(|i| 10 + (i * 7) % 23).collect()
-}
-
-fn stream(len: usize) -> Vec<(usize, i64)> {
-    let mut s = 0x2001_u64;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        let i = (s % N as u64) as usize;
-        let d = ((s >> 32) % 9) as i64 - 4;
-        out.push((i, if d == 0 { 5 } else { d }));
-    }
-    out
-}
-
-fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>> {
-    |_vals: &[i64], ps: &PrefixSums, budget: &Budget| {
-        Ok(Box::new(build_sap0_with_budget(ps, 3, budget)?) as Box<dyn RangeEstimator>)
-    }
-}
-
-fn commit_initial(cat_dir: &std::path::Path, values: &[i64]) -> u64 {
-    let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
-    let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(values),
-        },
-    );
-    store.save(&cat).unwrap()
 }
 
 /// One scenario: the leader runs with `k` clean write ops before `fault`
@@ -110,9 +70,18 @@ fn run_promotion_scenario(tag: &str, k: usize, fault: Fault, updates: usize) -> 
     // Manual policy: no persists/checkpoints, so the leader's journal
     // keeps every segment and the fault schedule indexes appends only.
     let config = RebuildConfig::new(RebuildPolicy::Manual);
-    let mut leader = MaintainedHistogram::with_config(&values, builder(), config)
-        .unwrap()
-        .with_durability(shared, COLUMN, &durability, generation)
+    let leader_pool = MaintainedPool::new(1);
+    let leader = leader_pool
+        .add_column_durable(
+            COLUMN,
+            &values,
+            builder(),
+            config,
+            shared,
+            &durability,
+            generation,
+            None,
+        )
         .unwrap();
 
     let follower_storage: SharedStorage = Arc::new(FsStorage::new());
@@ -175,6 +144,7 @@ fn run_promotion_scenario(tag: &str, k: usize, fault: Fault, updates: usize) -> 
     }
     // The kill: leader process and its transport vanish.
     drop(leader);
+    drop(leader_pool);
     leader_end.close();
     drop(leader_end);
 
@@ -216,15 +186,10 @@ fn run_promotion_scenario(tag: &str, k: usize, fault: Fault, updates: usize) -> 
 /// leader lost, the promoted follower serves every replicated ack.
 #[test]
 fn promotion_after_enospc_kill_at_every_write_op() {
-    let mut exhausted = false;
-    for k in 0..120 {
-        if !run_promotion_scenario("enospc", k, Fault::Enospc, 14) {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(
-        exhausted,
+    let exhausted_at = (0..120).find(|&k| !run_promotion_scenario("enospc", k, Fault::Enospc, 14));
+    assert_eq!(
+        exhausted_at,
+        Some(28),
         "sweep must extend past the scenario's total write-op count"
     );
 }
@@ -233,14 +198,13 @@ fn promotion_after_enospc_kill_at_every_write_op() {
 /// operation.
 #[test]
 fn promotion_after_crash_kill_at_every_write_op() {
-    let mut exhausted = false;
-    for k in 0..120 {
-        if !run_promotion_scenario("crash", k, Fault::CrashBeforeRename, 14) {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(exhausted, "sweep must cover the whole operation stream");
+    let exhausted_at =
+        (0..120).find(|&k| !run_promotion_scenario("crash", k, Fault::CrashBeforeRename, 14));
+    assert_eq!(
+        exhausted_at,
+        Some(28),
+        "sweep must cover the whole operation stream"
+    );
 }
 
 /// A torn append at every position: the leader's own journal tore, but
@@ -248,12 +212,7 @@ fn promotion_after_crash_kill_at_every_write_op() {
 /// state still equals the replicated shadow.
 #[test]
 fn promotion_after_torn_append_at_every_position() {
-    let mut exhausted = false;
-    for k in 0..120 {
-        if !run_promotion_scenario("torn", k, Fault::TornWrite { keep: 7 }, 14) {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(exhausted, "sweep must cover every append");
+    let exhausted_at =
+        (0..120).find(|&k| !run_promotion_scenario("torn", k, Fault::TornWrite { keep: 7 }, 14));
+    assert_eq!(exhausted_at, Some(28), "sweep must cover every append");
 }

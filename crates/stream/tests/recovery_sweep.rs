@@ -3,7 +3,10 @@
 //! The kill-and-recover property under test: **every update acknowledged
 //! before a crash survives recovery, and nothing else appears**. Each
 //! sweep drives a deterministic update stream through a journaled
-//! [`MaintainedHistogram`] over a [`FaultyStorage`], moving a single
+//! one-worker [`MaintainedPool`] column over a [`FaultyStorage`] —
+//! quiesced after every scheduled rebuild, so each update's appends,
+//! persist and checkpoint reach the storage in one fixed order — moving a
+//! single
 //! terminal fault across *every* write-operation index — WAL appends,
 //! segment-rotation appends, durable persists, and checkpoint-truncation
 //! deletes all sit in the same operation stream, so the sweep hits every
@@ -24,17 +27,17 @@
 use std::sync::Arc;
 
 use synoptic_catalog::{
-    Catalog, ColumnEntry, DurableCatalog, Fault, FaultyStorage, FsStorage, PersistentSynopsis,
+    ColumnEntry, DurableCatalog, Fault, FaultyStorage, FsStorage, PersistentSynopsis, Storage,
 };
-use synoptic_core::{Budget, PrefixSums, RangeEstimator, Result};
-use synoptic_hist::sap0::build_sap0_with_budget;
+use synoptic_core::Result;
 use synoptic_stream::{
-    recover, ColumnBuild, DurabilityConfig, DurablePersistFn, MaintainedHistogram, MaintainedPool,
+    recover, ColumnBuild, ColumnHandle, DurabilityConfig, DurablePersistFn, MaintainedPool,
     RebuildConfig, RebuildPolicy, SharedStorage,
 };
 
-const COLUMN: &str = "c";
-const N: usize = 16;
+mod common;
+
+use common::{builder, commit_initial, initial_values, stream, COLUMN};
 
 fn tempdir(tag: &str, k: usize) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("synoptic-sweep-{tag}-{k}-{}", std::process::id()));
@@ -43,45 +46,32 @@ fn tempdir(tag: &str, k: usize) -> std::path::PathBuf {
     dir
 }
 
-fn initial_values() -> Vec<i64> {
-    (0..N as i64).map(|i| 10 + (i * 7) % 23).collect()
-}
-
-/// A deterministic update stream (position, delta).
-fn stream(len: usize) -> Vec<(usize, i64)> {
-    let mut s = 0x2001_u64;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        let i = (s % N as u64) as usize;
-        let d = ((s >> 32) % 9) as i64 - 4;
-        out.push((i, if d == 0 { 5 } else { d }));
+/// Ingests one update and, when it schedules a rebuild, waits for the
+/// rebuild and its persist/checkpoint to land before the next update.
+fn update_in_order(col: &ColumnHandle, i: usize, d: i64) -> Result<bool> {
+    let scheduled = col.update(i, d)?;
+    if scheduled {
+        col.quiesce();
     }
-    out
+    Ok(scheduled)
 }
 
-fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>> {
-    |_vals: &[i64], ps: &PrefixSums, budget: &Budget| {
-        Ok(Box::new(build_sap0_with_budget(ps, 3, budget)?) as Box<dyn RangeEstimator>)
-    }
-}
-
-/// Commits the initial frequencies through a clean (non-faulty) handle so
-/// the fault schedule indexes only the maintenance phase's operations.
-fn commit_initial(cat_dir: &std::path::Path, values: &[i64]) -> u64 {
-    let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
-    let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(values),
-        },
-    );
-    store.save(&cat).unwrap()
+/// The durable persist hook: commits the snapshot's exact frequencies and
+/// its WAL mark to `store`.
+fn catalog_hook<S: Storage + Send + Sync + 'static>(store: DurableCatalog<S>) -> DurablePersistFn {
+    Box::new(move |snap| {
+        let mut cat = store.load()?;
+        cat.insert(
+            COLUMN,
+            ColumnEntry {
+                n: snap.values.len(),
+                total_rows: snap.values.iter().sum(),
+                synopsis: PersistentSynopsis::from_frequencies(snap.values),
+            },
+        );
+        cat.set_wal_mark(COLUMN, snap.wal_mark);
+        store.save(&cat)
+    })
 }
 
 /// Runs one crash scenario: `k` clean write operations, then `fault`
@@ -121,35 +111,30 @@ fn run_crash_scenario(
     let durability = DurabilityConfig::journaled(&wal_dir)
         .with_segment_bytes(128) // rotate every ~3 records
         .with_fsync(cadence);
-    let hook_store = DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap();
-    let hook: DurablePersistFn = Box::new(move |snap| {
-        let mut cat = hook_store.load()?;
-        cat.insert(
-            COLUMN,
-            ColumnEntry {
-                n: snap.values.len(),
-                total_rows: snap.values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(snap.values),
-            },
-        );
-        cat.set_wal_mark(COLUMN, snap.wal_mark);
-        hook_store.save(&cat)
-    });
+    let hook = catalog_hook(DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap());
     // No persist retries: a failed persist is a failed persist — the crash
     // arrives before any retry would.
     let config =
         RebuildConfig::new(policy).with_persist_retries(0, std::time::Duration::from_micros(1));
-    let mut mh = MaintainedHistogram::with_config(&values, builder(), config)
-        .unwrap()
-        .with_durability(shared, COLUMN, &durability, generation)
-        .unwrap()
-        .with_durable_persist(hook);
+    let pool = MaintainedPool::new(1);
+    let col = pool
+        .add_column_durable(
+            COLUMN,
+            &values,
+            builder(),
+            config,
+            shared,
+            &durability,
+            generation,
+            Some(hook),
+        )
+        .unwrap();
 
     let mut shadow = values;
     let mut fired = false;
     for (i, d) in stream(updates) {
         let before = faulty.faults_fired();
-        let res = mh.update(i, d);
+        let res = update_in_order(&col, i, d);
         let fired_now = faulty.faults_fired() > before;
         match res {
             // A visible failure (Enospc / crash on the append) rejected
@@ -167,7 +152,9 @@ fn run_crash_scenario(
             break; // the simulated kill
         }
     }
-    drop(mh); // the crash: in-memory state is gone
+    // The crash: in-memory state is gone.
+    drop(col);
+    pool.shutdown();
 
     // A fresh process recovers from the durable state alone.
     let store = DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap();
@@ -187,29 +174,45 @@ fn run_crash_scenario(
     (recovered, fired)
 }
 
+/// Moves the fault across write ops `0..limit` and returns the first `k`
+/// whose schedule the whole run fits under (every later schedule is
+/// identical to the clean run), plus a checksum of the state recovered at
+/// every `k` up to it — together they pin where the sweep ends and what
+/// it recovered on the way.
+fn sweep(
+    tag: &str,
+    limit: usize,
+    fault: Fault,
+    torn: bool,
+    policy: RebuildPolicy,
+    updates: usize,
+) -> (Option<usize>, u64) {
+    let mut checksum = 0u64;
+    let exhausted_at = (0..limit).find(|&k| {
+        let (recovered, fired) = run_crash_scenario(tag, k, fault.clone(), torn, policy, updates);
+        for v in recovered {
+            checksum = checksum.wrapping_mul(31).wrapping_add(v as u64);
+        }
+        !fired
+    });
+    (exhausted_at, checksum)
+}
+
 /// ENOSPC swept across every write operation: appends, rotations, persist
 /// writes, and checkpoint deletes all fail visibly at some `k`.
 #[test]
 fn enospc_at_every_write_op_preserves_acknowledged_updates() {
-    let mut exhausted = false;
-    for k in 0..200 {
-        let (_, fired) = run_crash_scenario(
-            "enospc",
-            k,
-            Fault::Enospc,
-            false,
-            RebuildPolicy::EveryKUpdates(6),
-            24,
-        );
-        if !fired {
-            // The whole run fits in fewer than k operations: every later
-            // schedule is identical to the clean run.
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(
-        exhausted,
+    let (exhausted_at, checksum) = sweep(
+        "enospc",
+        200,
+        Fault::Enospc,
+        false,
+        RebuildPolicy::EveryKUpdates(6),
+        24,
+    );
+    assert_eq!(
+        (exhausted_at, checksum),
+        (Some(54), 0x9332ea3ecccc9396),
         "sweep must extend past the scenario's total write-op count"
     );
 }
@@ -217,22 +220,19 @@ fn enospc_at_every_write_op_preserves_acknowledged_updates() {
 /// Crash-before-rename/append swept across every write operation.
 #[test]
 fn crash_at_every_write_op_preserves_acknowledged_updates() {
-    let mut exhausted = false;
-    for k in 0..200 {
-        let (_, fired) = run_crash_scenario(
-            "crash",
-            k,
-            Fault::CrashBeforeRename,
-            false,
-            RebuildPolicy::EveryKUpdates(6),
-            24,
-        );
-        if !fired {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(exhausted, "sweep must cover the whole operation stream");
+    let (exhausted_at, checksum) = sweep(
+        "crash",
+        200,
+        Fault::CrashBeforeRename,
+        false,
+        RebuildPolicy::EveryKUpdates(6),
+        24,
+    );
+    assert_eq!(
+        (exhausted_at, checksum),
+        (Some(54), 0x9332ea3ecccc9396),
+        "sweep must cover the whole operation stream"
+    );
 }
 
 /// A torn write at every journal append (including segment-creation
@@ -240,24 +240,21 @@ fn crash_at_every_write_op_preserves_acknowledged_updates() {
 /// record — and only the torn record — is lost.
 #[test]
 fn torn_append_at_every_position_loses_only_the_torn_record() {
-    let mut exhausted = false;
-    for k in 0..64 {
-        // Manual policy: no rebuilds, so every write op is an append and
-        // the torn fault always models power loss mid-append.
-        let (_, fired) = run_crash_scenario(
-            "torn",
-            k,
-            Fault::TornWrite { keep: 7 },
-            true,
-            RebuildPolicy::Manual,
-            20,
-        );
-        if !fired {
-            exhausted = true;
-            break;
-        }
-    }
-    assert!(exhausted, "sweep must cover every append");
+    // Manual policy: no rebuilds, so every write op is an append and the
+    // torn fault always models power loss mid-append.
+    let (exhausted_at, checksum) = sweep(
+        "torn",
+        64,
+        Fault::TornWrite { keep: 7 },
+        true,
+        RebuildPolicy::Manual,
+        20,
+    );
+    assert_eq!(
+        (exhausted_at, checksum),
+        (Some(20), 0x50c2fcae45fdc53d),
+        "sweep must cover every append"
+    );
 }
 
 /// The clean path (no fault ever fires) recovers the full stream, and a
@@ -273,34 +270,30 @@ fn clean_run_recovers_everything_and_is_idempotent() {
     let durability = DurabilityConfig::journaled(&wal_dir)
         .with_segment_bytes(128)
         .with_fsync(synoptic_catalog::wal::FsyncCadence::OnRotate);
-    let hook_store = DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap();
-    let hook: DurablePersistFn = Box::new(move |snap| {
-        let mut cat = hook_store.load()?;
-        cat.insert(
-            COLUMN,
-            ColumnEntry {
-                n: snap.values.len(),
-                total_rows: snap.values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(snap.values),
-            },
-        );
-        cat.set_wal_mark(COLUMN, snap.wal_mark);
-        hook_store.save(&cat)
-    });
+    let hook = catalog_hook(DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap());
     let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(5));
-    let mut mh = MaintainedHistogram::with_config(&values, builder(), config)
-        .unwrap()
-        .with_durability(shared, COLUMN, &durability, generation)
-        .unwrap()
-        .with_durable_persist(hook);
+    let pool = MaintainedPool::new(1);
+    let col = pool
+        .add_column_durable(
+            COLUMN,
+            &values,
+            builder(),
+            config,
+            shared,
+            &durability,
+            generation,
+            Some(hook),
+        )
+        .unwrap();
     let mut shadow = values;
     for (i, d) in stream(32) {
-        mh.update(i, d).unwrap();
+        update_in_order(&col, i, d).unwrap();
         shadow[i] += d;
     }
-    assert!(mh.stats().rebuilds >= 5);
-    assert_eq!(mh.stats().persist_failures, 0);
-    drop(mh);
+    assert!(col.stats().rebuilds >= 5);
+    assert_eq!(col.stats().persist_failures, 0);
+    drop(col);
+    pool.shutdown();
 
     let store = DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap();
     let first = recover(&store, &wal_dir).unwrap();
@@ -343,20 +336,7 @@ fn pool_survives_background_persist_faults() {
     let durability = DurabilityConfig::journaled(&wal_dir)
         .with_segment_bytes(128)
         .with_fsync(synoptic_catalog::wal::FsyncCadence::OnRotate);
-    let hook_store = DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap();
-    let hook: DurablePersistFn = Box::new(move |snap| {
-        let mut cat = hook_store.load()?;
-        cat.insert(
-            COLUMN,
-            ColumnEntry {
-                n: snap.values.len(),
-                total_rows: snap.values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(snap.values),
-            },
-        );
-        cat.set_wal_mark(COLUMN, snap.wal_mark);
-        hook_store.save(&cat)
-    });
+    let hook = catalog_hook(DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap());
     let pool = MaintainedPool::new(1);
     let col = pool
         .add_column_durable(
